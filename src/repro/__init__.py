@@ -16,14 +16,16 @@ Public API overview
     The SSD simulator substrate (flash array, OOB, allocator, cache, write
     buffer, GC, wear leveling, the trace-driven device model).
 ``repro.sim``
-    The event-driven engine: deterministic event loop, per-channel/per-die
-    NAND scheduling and the NCQ-style host frontend used when replays run
-    at ``queue_depth > 1``.
+    The event-driven engine: deterministic event loop and per-channel/
+    per-die NAND scheduling, used when replays run at ``queue_depth > 1``
+    or open loop.
 ``repro.host``
     The NVMe-style multi-queue host interface above the device: namespaces
     (disjoint LPA regions with per-tenant stats/SLOs), submission queues
     with pluggable arbitration (round-robin, weighted round-robin, strict
-    priority, FIFO baseline) and token-bucket QoS rate limits.
+    priority, FIFO baseline) and token-bucket QoS rate limits.  Its
+    admission engine also admits every event-driven
+    :meth:`repro.ssd.SimulatedSSD.run` replay.
 ``repro.workloads``
     Trace representation, MSR/FIU-like and database-style generators, and a
     parser for original MSR-format traces.
@@ -59,7 +61,7 @@ from repro.host import (
     TokenBucket,
     make_arbiter,
 )
-from repro.sim import EventLoop, HostFrontend, NANDScheduler, interleave_streams
+from repro.sim import EventLoop, NANDScheduler, interleave_streams
 from repro.ssd import (
     GCPolicy,
     GCPolicyConfig,
@@ -94,7 +96,6 @@ __all__ = [
     "TokenBucket",
     "make_arbiter",
     "EventLoop",
-    "HostFrontend",
     "NANDScheduler",
     "interleave_streams",
     "GCPolicy",

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence
 
+from repro.ssd.stats import percentile_of_sorted
+
 def percentile(samples: Sequence[float], pct: float) -> float:
-    """The ``pct``-th percentile of ``samples`` (nearest-rank)."""
-    if not samples:
-        return 0.0
-    if not 0.0 <= pct <= 100.0:
-        raise ValueError("pct must be within [0, 100]")
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))
-    return ordered[rank]
+    """The ``pct``-th percentile of ``samples``.
+
+    Round-index, not nearest rank: the sorted sample at
+    ``round(pct / 100 * (n - 1))``, as defined by
+    :func:`repro.ssd.stats.percentile_of_sorted`.
+    """
+    return percentile_of_sorted(sorted(samples), pct)
 
 def latency_cdf(
     samples: Sequence[float],

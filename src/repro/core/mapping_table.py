@@ -96,12 +96,6 @@ class MappingTableStats:
     def mean_levels_per_lookup(self) -> float:
         return self.lookup_levels_total / self.lookups if self.lookups else 0.0
 
-    @property
-    def mean_segment_length(self) -> float:
-        if self.segments_learned == 0:
-            return 0.0
-        return self.mappings_learned / self.segments_learned
-
 
 class LogStructuredMappingTable:
     """LeaFTL's learned LPA→PPA mapping table."""

@@ -55,20 +55,6 @@ def mapping_footprints(
     return results
 
 
-def memory_reduction_summary(
-    footprints: Dict[str, Dict[str, int]], target: str = "LeaFTL"
-) -> Dict[str, Dict[str, float]]:
-    """Per-workload reduction factors of ``target`` vs every other scheme."""
-    summary: Dict[str, Dict[str, float]] = {}
-    for workload, by_scheme in footprints.items():
-        summary[workload] = {
-            f"vs {scheme}": reduction_factor(size, by_scheme[target])
-            for scheme, size in by_scheme.items()
-            if scheme != target
-        }
-    return summary
-
-
 def average_reduction(
     footprints: Dict[str, Dict[str, int]], baseline: str, target: str = "LeaFTL"
 ) -> float:

@@ -15,7 +15,6 @@ from typing import Dict, Optional, Sequence
 
 from repro.analysis.latency import histogram_cdf, latency_cdf, normalize
 from repro.experiments.common import (
-    ExperimentResult,
     ExperimentSetup,
     SCHEMES,
     build_ssd,
@@ -59,16 +58,6 @@ def normalized_performance(
         latencies = {scheme: r.read_mean_latency_us for scheme, r in results.items()}
         table[workload] = normalize(latencies, baseline)
     return table
-
-
-def raw_performance(
-    workloads: Sequence[str],
-    setup: Optional[ExperimentSetup] = None,
-    schemes: Sequence[str] = SCHEMES,
-) -> Dict[str, Dict[str, ExperimentResult]]:
-    """workload -> scheme -> full experiment result."""
-    setup = setup or performance_setup()
-    return {workload: run_schemes(workload, setup, schemes) for workload in workloads}
 
 
 def gamma_performance(
@@ -154,39 +143,6 @@ def latency_distribution(
         scheme: latency_cdf(result.latency_samples, points)
         for scheme, result in results.items()
     }
-
-
-def open_loop_load_sweep(
-    workload: str = "OLTP",
-    interarrivals_us: Sequence[float] = (80.0, 40.0, 20.0, 10.0, 5.0),
-    setup: Optional[ExperimentSetup] = None,
-    scheme: str = "LeaFTL",
-) -> Dict[float, Dict[str, float]]:
-    """inter-arrival time -> latency/backlog metrics under open-loop replay.
-
-    Each column replays the same trace with arrivals stamped at a fixed
-    spacing: tighter spacing means a higher offered load.  Because
-    admission is arrival-driven (not completion-driven), latency measured
-    against arrival time grows without bound once the offered load exceeds
-    the device's service rate — ``max_outstanding`` shows how deep the
-    backlog got.
-    """
-    base = setup or performance_setup()
-    table: Dict[float, Dict[str, float]] = {}
-    for interarrival in interarrivals_us:
-        run_setup = base.scaled(
-            replay_mode="open", open_loop_interarrival_us=interarrival
-        )
-        result = run_experiment(workload, scheme, run_setup)
-        stats = result.stats
-        table[interarrival] = {
-            "read_mean_us": result.read_mean_latency_us,
-            "read_p99_us": result.read_p99_us,
-            "read_stall_us": stats.read_stall_us,
-            "measured_time_us": stats.measured_time_us,
-            "max_outstanding": float(stats.max_outstanding_requests),
-        }
-    return table
 
 
 def queue_depth_sweep(

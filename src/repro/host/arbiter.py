@@ -85,11 +85,11 @@ class RoundRobinArbiter(Arbiter):
         self._cursor = 0
 
     def select(self, candidates: Sequence[ArbitratedQueue]) -> ArbitratedQueue:
-        eligible = set(id(queue) for queue in candidates)
-        for _ in range(len(self._queues)):
-            queue = self._queues[self._cursor]
-            self._cursor = (self._cursor + 1) % len(self._queues)
-            if id(queue) in eligible:
+        queues = self._queues
+        for _ in range(len(queues)):
+            queue = queues[self._cursor]
+            self._cursor = (self._cursor + 1) % len(queues)
+            if queue in candidates:
                 return queue
         raise ValueError("select() called with no eligible queue")
 
@@ -115,13 +115,12 @@ class WeightedRoundRobinArbiter(Arbiter):
         }
 
     def select(self, candidates: Sequence[ArbitratedQueue]) -> ArbitratedQueue:
-        eligible = set(id(queue) for queue in candidates)
         # Two sweeps bound the search: the first may spend leftover credits,
         # the second is guaranteed to hit a freshly refilled eligible queue.
         for _ in range(2 * len(self._queues) + 1):
             queue = self._queues[self._cursor]
             key = id(queue)
-            if key in eligible and self._credit[key] > 0:
+            if queue in candidates and self._credit[key] > 0:
                 self._credit[key] -= 1
                 return queue
             self._credit[key] = max(1, queue.weight)

@@ -6,17 +6,18 @@ Three pieces:
   Closed-loop queues pull their next request on demand (the stream is
   always backlogged, completion-driven); open-loop queues receive requests
   at their (scaled) trace timestamps via arrival events, the WiscSee-style
-  replay the single-queue :class:`repro.sim.frontend.OpenLoopFrontend`
-  introduced.
+  trace replay.
 
-* :class:`MultiQueueFrontend` — the admission engine.  The device executes
-  up to ``queue_depth`` commands concurrently (its NCQ/NVMe slots); every
-  time a slot frees, the arbiter picks which eligible queue's head request
-  is admitted.  Token-bucket throttled queues are not offered to the
-  arbiter; a retry fires when their bucket refills.  With a single
-  closed-loop queue and any arbiter this degenerates *exactly* to the
-  :class:`repro.sim.frontend.HostFrontend` admission order — the
-  single-tenant regression tests pin that bit-for-bit.
+* :class:`MultiQueueFrontend` — the simulator's one admission engine.  The
+  device executes up to ``queue_depth`` commands concurrently (its
+  NCQ/NVMe slots); every time a slot frees, the arbiter picks which
+  eligible queue's head request is admitted.  Token-bucket throttled
+  queues are not offered to the arbiter; a retry fires when their bucket
+  refills.  :meth:`repro.ssd.ssd.SimulatedSSD.run` replays through it too:
+  one queue on a whole-device
+  :class:`~repro.host.namespace.DeviceNamespace`, closed loop at the
+  configured depth or open loop with no slot cap.  With one queue every
+  arbiter admits in the same order.
 
 * :class:`HostInterface` — the user-facing object: carves namespaces out of
   one :class:`repro.ssd.ssd.SimulatedSSD`, builds queues for the tenant
@@ -31,18 +32,41 @@ engine's convention).
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    cast,
+)
 
 from repro.host.arbiter import Arbiter, TokenBucket, make_arbiter
 from repro.host.namespace import Namespace, NamespaceStats
 from repro.sim.events import Event, EventLoop, PRIORITY_FOREGROUND
 from repro.sim.frontend import FrontendStats
+from repro.workloads.multi_tenant import TenantWorkload
 from repro.workloads.trace import IORequest, ReplayItem, as_request
+
+if TYPE_CHECKING:
+    from repro.ssd.ssd import SimulatedSSD
 
 #: Valid submission-queue admission modes.
 QUEUE_MODES = ("closed", "open")
+
+#: What :meth:`HostInterface.run` replays: ``{namespace_name: stream}`` or
+#: tenant specs.
+Tenants = Union[Mapping[str, Iterable[ReplayItem]], Iterable[TenantWorkload]]
 
 
 class SubmissionQueue:
@@ -70,8 +94,8 @@ class SubmissionQueue:
         #: ``(request, ready_us, enqueue_seq)``.
         self._pending: Deque[Tuple[IORequest, float, int]] = deque()
         #: Set by the frontend: allocates global enqueue sequence numbers.
-        self._stamp = None
-        #: Open-loop arrival anchoring (mirrors OpenLoopFrontend).
+        self._stamp: Optional[Callable[[], int]] = None
+        #: Open-loop arrival anchoring.
         self._origin_us = 0.0
         self._first_timestamp: Optional[float] = None
         self._last_timestamp: Optional[float] = None
@@ -96,7 +120,7 @@ class SubmissionQueue:
         return (ready_us, seq)
 
     # Frontend-facing API ------------------------------------------------ #
-    def bind(self, stamp, origin_us: float) -> None:
+    def bind(self, stamp: Callable[[], int], origin_us: float) -> None:
         self._stamp = stamp
         self._origin_us = origin_us
 
@@ -173,17 +197,19 @@ class SubmissionQueue:
 class MultiQueueFrontend:
     """Admits requests from several submission queues into one device.
 
-    The device is duck-typed exactly like the single-queue frontends:
-    anything with ``submit(op, lpa, npages, at_us) -> finish_us`` works.
+    ``queue_depth`` is the number of device slots; ``math.inf`` admits
+    every request the moment it is ready (open-loop replay with no cap).
+    Only the device's ``submit(op, lpa, npages, at_us) -> finish_us`` is
+    called.
     """
 
     def __init__(
         self,
-        device,
+        device: SimulatedSSD,
         loop: EventLoop,
         queues: Sequence[SubmissionQueue],
         arbiter: Arbiter,
-        queue_depth: int,
+        queue_depth: float,
     ) -> None:
         if queue_depth < 1:
             raise ValueError("queue_depth must be at least 1")
@@ -197,7 +223,6 @@ class MultiQueueFrontend:
         self._outstanding = 0
         #: Slots reserved by scheduled-but-not-yet-fired issue events.
         self._reserved = 0
-        self._seq = 0
         #: Earliest pending rate-limit retry (inf = none scheduled).  A
         #: retry needed *earlier* than the pending one must still be
         #: scheduled, or a briefly-throttled queue would wait for another
@@ -205,13 +230,10 @@ class MultiQueueFrontend:
         self._next_retry_us = float("inf")
         self.stats = FrontendStats()
         arbiter.bind(self._queues)
+        #: Global enqueue sequence numbers, shared by every queue.
+        stamp = itertools.count().__next__
         for queue in self._queues:
-            queue.bind(self._next_seq, loop.now_us)
-
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
+            queue.bind(stamp, loop.now_us)
 
     @property
     def outstanding(self) -> int:
@@ -253,9 +275,6 @@ class MultiQueueFrontend:
     # ------------------------------------------------------------------ #
     # Admission
     # ------------------------------------------------------------------ #
-    def _free_slots(self) -> int:
-        return self._queue_depth - self._outstanding - self._reserved
-
     def _eligible(self, now_us: float) -> Tuple[List[SubmissionQueue], Optional[float]]:
         """Queues the arbiter may pick from, plus the earliest token-retry.
 
@@ -295,7 +314,7 @@ class MultiQueueFrontend:
 
     def _pump(self, now_us: float) -> None:
         """Fill free device slots: one arbitration decision per slot."""
-        while self._free_slots() > 0:
+        while self._queue_depth - self._outstanding - self._reserved > 0:
             candidates, retry_at = self._eligible(now_us)
             if retry_at is not None and retry_at < self._next_retry_us:
                 self._next_retry_us = retry_at
@@ -307,7 +326,8 @@ class MultiQueueFrontend:
                 )
             if not candidates:
                 return
-            queue = self._arbiter.select(candidates)
+            # The arbiter returns one of the candidates it was offered.
+            queue = cast(SubmissionQueue, self._arbiter.select(candidates))
             request, ready_us = queue.pop()
             for bucket in queue.namespace.limiters:
                 bucket.try_consume(bucket.cost_of(request.npages), now_us)
@@ -397,13 +417,12 @@ class HostInterface:
 
     def __init__(
         self,
-        ssd,
+        ssd: SimulatedSSD,
         arbiter: Optional[str] = None,
         queue_depth: Optional[int] = None,
     ) -> None:
         self._ssd = ssd
-        options = getattr(ssd, "options", None)
-        self.arbiter_name = arbiter or getattr(options, "arbiter", "round_robin")
+        self.arbiter_name = arbiter or ssd.options.arbiter
         # Instantiate eagerly so an unknown name fails at construction.
         make_arbiter(self.arbiter_name)
         self.queue_depth = queue_depth or ssd.effective_queue_depth
@@ -493,7 +512,7 @@ class HostInterface:
     # ------------------------------------------------------------------ #
     def run(
         self,
-        tenants,
+        tenants: Tenants,
         drain: bool = True,
         queue_depth: Optional[int] = None,
         arbiter: Optional[str] = None,
@@ -526,22 +545,17 @@ class HostInterface:
             max_backlog={queue.name: queue.max_backlog for queue in queues},
         )
 
-    def _build_queues(self, tenants) -> List[SubmissionQueue]:
+    def _build_queues(self, tenants: Tenants) -> List[SubmissionQueue]:
         queues: List[SubmissionQueue] = []
-        if hasattr(tenants, "items"):
+        specs: List[Tuple[str, Iterable[ReplayItem], str, float, Optional[str]]]
+        if isinstance(tenants, Mapping):
             specs = [
                 (name, stream, _infer_mode(stream), 1.0, None)
                 for name, stream in tenants.items()
             ]
         else:
             specs = [
-                (
-                    spec.namespace,
-                    spec.trace,
-                    getattr(spec, "mode", "auto"),
-                    getattr(spec, "time_scale", 1.0),
-                    getattr(spec, "name", None),
-                )
+                (spec.namespace, spec.trace, spec.mode, spec.time_scale, spec.name)
                 for spec in tenants
             ]
         for ns_name, stream, mode, time_scale, queue_name in specs:
@@ -566,7 +580,7 @@ class HostInterface:
         return queues
 
 
-def _infer_mode(stream) -> str:
+def _infer_mode(stream: Iterable[ReplayItem]) -> str:
     """Open-loop when the stream is a trace carrying timestamps."""
     has_timestamps = getattr(stream, "has_timestamps", None)
     if callable(has_timestamps) and has_timestamps():

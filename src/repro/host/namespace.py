@@ -168,3 +168,25 @@ class Namespace:
             f"pages={self.size_pages}, weight={self.weight}, "
             f"priority={self.priority})"
         )
+
+
+class DeviceNamespace(Namespace):
+    """The whole device as one namespace, for device-level replays.
+
+    :meth:`repro.ssd.ssd.SimulatedSSD.run` admits through the multi-queue
+    frontend with one queue on this namespace.  Requests reach the device
+    untranslated, so the device's own range handling applies: pages past
+    the last LPA are clipped and counted in ``SSDStats.clipped_pages``, and
+    a request starting past the end is clipped whole instead of raising.
+    The device records every page's latency in ``SSDStats``, so the
+    namespace keeps no second copy.
+    """
+
+    def __init__(self, logical_pages: int) -> None:
+        super().__init__("device", 0, logical_pages)
+
+    def translate(self, lpa: int, npages: int) -> Tuple[int, int]:
+        return lpa, npages
+
+    def record_completion(self, op: str, latency_us: float) -> None:
+        pass

@@ -10,9 +10,10 @@ synchronous fast path.
 
 The design follows the classic discrete-event simulator split used by
 WiscSee and FTL-SIM: an ``EventLoop`` plus a host frontend
-(:mod:`repro.sim.frontend`) that admits requests at a configurable queue
-depth, and resource schedulers (:mod:`repro.sim.nand`) that serialize
-operations on shared hardware.
+(:class:`repro.host.interface.MultiQueueFrontend`) that admits requests at
+a configurable queue depth or at trace arrival times, and resource
+schedulers (:mod:`repro.sim.nand`) that serialize operations on shared
+hardware.
 
 Queue layout
 ------------
@@ -154,21 +155,6 @@ class EventLoop:
 
     def __len__(self) -> int:
         return self._pending
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next event, or ``None`` when the queue is empty."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            time_us = times[0]
-            bucket = buckets.get(time_us)
-            if bucket:
-                return time_us
-            # Stale calendar slot (its events were all consumed); drop it.
-            heapq.heappop(times)
-            if bucket is not None:
-                del buckets[time_us]
-        return None
 
     def chain_observer(self, fn: Callable[[Event], None]) -> None:
         """Attach ``fn`` as an observer without displacing the current one.

@@ -1,50 +1,17 @@
-"""Host frontends: how trace requests are admitted into the device.
+"""Admission counters and stream merging shared by every trace replay.
 
-Two admission policies are modelled on top of the event loop, both
-consuming :class:`repro.workloads.trace.IORequest` objects (bare
-``(op, lpa, npages)`` tuples are coerced for backward compatibility):
-
-**Closed loop** (:class:`HostFrontend`) — NCQ-style depth-bounded
-admission.  Real hosts do not wait for a request to complete before
-sending the next one; they keep up to ``queue_depth`` commands outstanding
-(SATA NCQ: 32, NVMe: far more):
-
-1. the first ``queue_depth`` trace requests are admitted immediately;
-2. each admitted request is issued to the device at its admission time; the
-   device reserves channel time and reports the completion time;
-3. a completion frees one slot, admitting the next trace request *at the
-   completion time* — so with depth 1 the replay degenerates to the classic
-   synchronous simulation, and with depth N foreground requests genuinely
-   overlap each other and the background flush/GC traffic their
-   predecessors triggered.
-
-**Open loop** (:class:`OpenLoopFrontend`) — timestamped arrival-driven
-admission, the trace-replay methodology WiscSee-style simulators use.
-Each request is admitted at its recorded arrival time (relative to the
-trace's first timestamp, scaled by ``time_scale``) *whether or not* earlier
-requests have completed, so the number outstanding is a measurement — how
-far the device falls behind the arrival process — rather than a knob, and
-request latency is measured against arrival times.
-
-The device is duck-typed: anything with
-``submit(op, lpa, npages, at_us) -> finish_us`` works.
+Requests are admitted into the device by one engine,
+:class:`repro.host.interface.MultiQueueFrontend`: closed loop at a
+bounded queue depth (NCQ style, a completion frees a slot) or open loop at
+the trace's (scaled) arrival times.  This module keeps the pieces that do
+not depend on the host layer: the :class:`FrontendStats` an admission run
+reports, and :func:`interleave_streams` for building multi-tenant mixes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Protocol, Tuple
-
-from repro.sim.events import Event, EventLoop, PRIORITY_FOREGROUND
-from repro.workloads.trace import IORequest, ReplayItem, as_request
-
-
-class SubmitTarget(Protocol):
-    """The duck-typed device contract: anything with this ``submit`` works."""
-
-    def submit(
-        self, op: str, lpa: int, npages: int = 1, at_us: Optional[float] = None
-    ) -> float: ...
+from typing import Iterable, Iterator, List, Tuple
 
 #: Legacy alias: one host request as a bare tuple.
 Request = Tuple[str, int, int]
@@ -52,203 +19,13 @@ Request = Tuple[str, int, int]
 
 @dataclass
 class FrontendStats:
-    """Counters describing one frontend run."""
+    """Counters describing one admission run."""
 
     submitted: int = 0
     completed: int = 0
     max_outstanding: int = 0
     #: Completion time of the last request (us).
     finished_at_us: float = 0.0
-
-
-class HostFrontend:
-    """Admits trace requests into the device at a bounded queue depth."""
-
-    def __init__(
-        self, device: SubmitTarget, loop: EventLoop, queue_depth: int = 1
-    ) -> None:
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be at least 1")
-        self._device = device
-        self._loop = loop
-        self._queue_depth = queue_depth
-        self._source: Optional[Iterator[ReplayItem]] = None
-        self._outstanding = 0
-        self.stats = FrontendStats()
-
-    @property
-    def queue_depth(self) -> int:
-        return self._queue_depth
-
-    @property
-    def outstanding(self) -> int:
-        return self._outstanding
-
-    # ------------------------------------------------------------------ #
-    # Replay
-    # ------------------------------------------------------------------ #
-    def run(self, requests: Iterable[ReplayItem]) -> FrontendStats:
-        """Replay ``requests`` to completion; returns the frontend stats."""
-        self._source = iter(requests)
-        for _ in range(self._queue_depth):
-            if not self._admit(self._loop.now_us):
-                break
-        self._loop.run()
-        return self.stats
-
-    # ------------------------------------------------------------------ #
-    # Event handlers
-    # ------------------------------------------------------------------ #
-    def _admit(self, at_us: float) -> bool:
-        assert self._source is not None
-        item = next(self._source, None)
-        if item is None:
-            return False
-        self._loop.schedule(
-            at_us,
-            "request_issue",
-            self._issue,
-            payload=as_request(item),
-            priority=PRIORITY_FOREGROUND,
-        )
-        return True
-
-    def _issue(self, event: Event) -> None:
-        request: IORequest = event.payload  # type: ignore[assignment]
-        self._outstanding += 1
-        self.stats.submitted += 1
-        if self._outstanding > self.stats.max_outstanding:
-            self.stats.max_outstanding = self._outstanding
-        finish = self._device.submit(
-            request.op, request.lpa, request.npages, at_us=event.time_us
-        )
-        # Completions fire at foreground priority so a freed NCQ slot admits
-        # the next request before any same-timestamp background GC step runs.
-        # The request rides along as the payload so observers can pair the
-        # completion with its issue (payloads are not digested).
-        self._loop.schedule(
-            finish,
-            "request_complete",
-            self._complete,
-            priority=PRIORITY_FOREGROUND,
-            payload=request,
-        )
-
-    def _complete(self, event: Event) -> None:
-        self._outstanding -= 1
-        self.stats.completed += 1
-        if event.time_us > self.stats.finished_at_us:
-            self.stats.finished_at_us = event.time_us
-        self._admit(event.time_us)
-
-
-class OpenLoopFrontend:
-    """Admits each trace request at its (scaled) arrival timestamp.
-
-    Arrival times are taken relative to the trace's first timestamp and
-    anchored at the loop's current time, so a replay that follows a warm-up
-    phase starts its arrival process at the present.  Requests whose
-    timestamps are all zero (synthetic traces, bare tuples) degenerate to
-    simultaneous arrival — stamp them first with
-    :meth:`repro.workloads.trace.Trace.with_interarrival`.
-
-    Same-timestamp arrivals are issued in trace order (the event loop is
-    schedule-order stable), which keeps open-loop replay deterministic.
-    Timestamps must be non-decreasing: a trace with out-of-order arrival
-    times raises ``ValueError`` instead of silently distorting the offered
-    load — sort it first with
-    :meth:`repro.workloads.trace.Trace.sorted_by_timestamp`.
-    """
-
-    def __init__(
-        self, device: SubmitTarget, loop: EventLoop, time_scale: float = 1.0
-    ) -> None:
-        if time_scale <= 0.0:
-            raise ValueError("time_scale must be positive")
-        self._device = device
-        self._loop = loop
-        self._time_scale = time_scale
-        self._source: Optional[Iterator[ReplayItem]] = None
-        self._origin_us = 0.0
-        self._first_timestamp: Optional[float] = None
-        self._last_timestamp: Optional[float] = None
-        self._outstanding = 0
-        self.stats = FrontendStats()
-
-    @property
-    def time_scale(self) -> float:
-        return self._time_scale
-
-    @property
-    def outstanding(self) -> int:
-        return self._outstanding
-
-    def run(self, requests: Iterable[ReplayItem]) -> FrontendStats:
-        """Replay ``requests`` to completion; returns the frontend stats.
-
-        Admission streams from the iterator: each arrival event schedules
-        the next one, so only one pending arrival lives in the heap at a
-        time — a full-trace replay does not materialise millions of events
-        up front.  Arrivals must carry non-decreasing timestamps; an
-        out-of-order timestamp raises ``ValueError`` rather than silently
-        misrepresenting the arrival process.
-        """
-        self._source = iter(requests)
-        self._origin_us = self._loop.now_us
-        self._schedule_next_arrival()
-        self._loop.run()
-        return self.stats
-
-    def _schedule_next_arrival(self) -> None:
-        assert self._source is not None
-        item = next(self._source, None)
-        if item is None:
-            return
-        request = as_request(item)
-        if self._first_timestamp is None:
-            self._first_timestamp = request.timestamp_us
-        if (
-            self._last_timestamp is not None
-            and request.timestamp_us < self._last_timestamp
-        ):
-            raise ValueError(
-                f"open-loop replay requires non-decreasing timestamps: "
-                f"{request.timestamp_us} follows {self._last_timestamp}; "
-                "sort the trace (Trace.sorted_by_timestamp()) before replay"
-            )
-        self._last_timestamp = request.timestamp_us
-        offset = max(0.0, request.timestamp_us - self._first_timestamp)
-        self._loop.schedule(
-            self._origin_us + offset * self._time_scale,
-            "request_arrival",
-            self._issue,
-            payload=request,
-            priority=PRIORITY_FOREGROUND,
-        )
-
-    def _issue(self, event: Event) -> None:
-        request: IORequest = event.payload  # type: ignore[assignment]
-        self._outstanding += 1
-        self.stats.submitted += 1
-        if self._outstanding > self.stats.max_outstanding:
-            self.stats.max_outstanding = self._outstanding
-        finish = self._device.submit(
-            request.op, request.lpa, request.npages, at_us=event.time_us
-        )
-        self._loop.schedule(
-            finish,
-            "request_complete",
-            self._complete,
-            priority=PRIORITY_FOREGROUND,
-            payload=request,
-        )
-        self._schedule_next_arrival()
-
-    def _complete(self, event: Event) -> None:
-        self._outstanding -= 1
-        self.stats.completed += 1
-        if event.time_us > self.stats.finished_at_us:
-            self.stats.finished_at_us = event.time_us
 
 
 def interleave_streams(*streams: Iterable[Request]) -> Iterator[Request]:

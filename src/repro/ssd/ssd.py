@@ -43,21 +43,24 @@ refactor.
 Two replay engines are available (``SSDOptions.engine``):
 
 * the **synchronous fast path** replays requests one at a time, each issued
-  at the completion of its predecessor — the classic trace-driven model;
-* the **event-driven engine** (:mod:`repro.sim`) admits up to
-  ``SSDOptions.queue_depth`` requests concurrently through an NCQ-style
-  host frontend and a time-ordered event loop, so foreground reads
-  genuinely overlap the background flush/GC traffic earlier writes
-  triggered.  With ``queue_depth = 1`` the two engines produce identical
-  latencies and statistics (regression-tested); higher depths expose the
-  channel contention behind Figure 18's tail latencies.
+  at the completion of its predecessor — the classic trace-driven model,
+  used for closed-loop replay at ``queue_depth = 1``;
+* the **event-driven engine** (:mod:`repro.sim`) runs a time-ordered event
+  loop so foreground reads genuinely overlap the background flush/GC
+  traffic earlier writes triggered.  With ``queue_depth = 1`` the two
+  engines produce identical latencies and statistics (regression-tested);
+  higher depths expose the channel contention behind Figure 18's tail
+  latencies.
 
-Two admission policies drive the event engine (``SSDOptions.replay_mode``):
-**closed-loop** admission is completion-driven (a finished request admits
-the next one), while **open-loop** admission fires each request at its
-trace timestamp scaled by ``SSDOptions.time_scale`` — the WiscSee-style
-replay that measures latency under load against *arrival* times instead of
-queue depth.
+The event engine admits requests through the host interface's admission
+engine (:class:`repro.host.interface.MultiQueueFrontend`) with one
+submission queue on a whole-device namespace, under one of two policies
+(``SSDOptions.replay_mode``): **closed-loop** admission keeps up to
+``SSDOptions.queue_depth`` requests outstanding and a finished request
+admits the next one, while **open-loop** admission issues each request at
+its trace timestamp scaled by ``SSDOptions.time_scale``, with no slot cap —
+the WiscSee-style replay that measures latency under load against
+*arrival* times instead of queue depth.
 
 Internally every operation takes an explicit issue clock (``at_us``), so
 the same read/write/flush/GC code serves both engines: state changes apply
@@ -66,23 +69,33 @@ per-die NAND scheduler.
 
 Above the device, the NVMe-style multi-queue host interface
 (:mod:`repro.host`) carves the logical space into namespaces and drives
-the event loop with its own submission queues and arbitration, through the
-:meth:`SimulatedSSD.run_frontend` / :meth:`SimulatedSSD.finalize_replay`
+the same admission engine with one submission queue per tenant, through
+the :meth:`SimulatedSSD.run_frontend` / :meth:`SimulatedSSD.finalize_replay`
 hooks; ``SSDOptions.arbiter`` names the default arbitration policy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.config import DRAMBudget, SSDConfig
 from repro.flash.allocator import BlockAllocator
 from repro.flash.flash_array import FlashArray, PageState
-from repro.flash.oob import OOBArea, validate_gamma_fits_oob
+from repro.flash.oob import validate_gamma_fits_oob
 from repro.ftl.base import FTL
 from repro.sim.events import Event, EventLoop
-from repro.sim.frontend import HostFrontend, OpenLoopFrontend
 from repro.sim.nand import NANDScheduler, TIMING_MODELS
 from repro.workloads.trace import ReplayItem, as_request
 from repro.ssd.cache import LRUDataCache
@@ -97,13 +110,16 @@ from repro.ssd.stats import SSDStats
 from repro.ssd.wear_leveling import WearLeveler, WearLevelingConfig
 from repro.ssd.write_buffer import WriteBuffer
 
+if TYPE_CHECKING:
+    from repro.host.interface import MultiQueueFrontend
+
 
 class SimulationError(RuntimeError):
     """Raised when the simulated device reaches an inconsistent state."""
 
 
 #: Valid values of :attr:`SSDOptions.engine`.
-ENGINES = ("auto", "serial", "events")
+ENGINES = ("auto", "events")
 
 #: Valid values of :attr:`SSDOptions.replay_mode`.
 REPLAY_MODES = ("closed", "open")
@@ -129,8 +145,9 @@ class SSDOptions:
     #: Host requests kept outstanding during trace replay (NCQ style);
     #: clamped to the device's ``SSDConfig.ncq_depth``.
     queue_depth: int = 1
-    #: Replay engine: ``"auto"`` picks the event-driven engine whenever
-    #: ``queue_depth > 1``; ``"serial"``/``"events"`` force one engine.
+    #: Replay engine: ``"auto"`` replays serially at queue depth 1 and
+    #: through the event-driven engine otherwise; ``"events"`` forces the
+    #: event engine at every depth.
     engine: str = "auto"
     #: NAND timing model (see :class:`repro.sim.nand.NANDScheduler`):
     #: ``"bus"`` matches the classic per-channel accounting, ``"die"`` also
@@ -154,7 +171,8 @@ class SSDOptions:
     #: driven through the multi-queue host interface
     #: (:class:`repro.host.interface.HostInterface`): ``"fifo"``,
     #: ``"round_robin"``, ``"weighted_round_robin"`` or
-    #: ``"strict_priority"``.  Single-queue replays ignore it.
+    #: ``"strict_priority"``.  :meth:`SimulatedSSD.run` arbitrates its one
+    #: queue with it too, where every policy admits in the same order.
     arbiter: str = "round_robin"
     #: Observability mode (:data:`repro.obs.session.TELEMETRY_MODES`):
     #: ``"off"`` (default, zero per-event cost beyond observer-is-None
@@ -1178,6 +1196,12 @@ class SimulatedSSD:
         runs.  Open-loop mode always runs through the event loop: requests
         are admitted at their (scaled) trace timestamps whether or not
         earlier requests completed.
+
+        Both event-driven modes admit through
+        :class:`repro.host.interface.MultiQueueFrontend` with one
+        submission queue on a :class:`repro.host.namespace.DeviceNamespace`,
+        so requests reach :meth:`submit` untranslated and the device's own
+        range handling (clipping into ``stats.clipped_pages``) applies.
         """
         mode = self.options.replay_mode if replay_mode is None else replay_mode
         if mode not in REPLAY_MODES:
@@ -1188,33 +1212,40 @@ class SimulatedSSD:
         depth = self.effective_queue_depth if queue_depth is None else min(
             max(1, queue_depth), self.config.ncq_depth
         )
-        engine = self.options.engine
-        if mode == "open":
-            loop = EventLoop(start_us=self._now_us)
-            self.run_frontend(OpenLoopFrontend(self, loop, time_scale=scale), loop, requests)
-        elif engine == "events" or (engine == "auto" and depth > 1):
-            loop = EventLoop(start_us=self._now_us)
-            self.run_frontend(HostFrontend(self, loop, queue_depth=depth), loop, requests)
-        else:
+        if mode == "closed" and self.options.engine == "auto" and depth == 1:
             for request in map(as_request, requests):
                 self.stats.requests_submitted += 1
                 self.submit(request.op, request.lpa, request.npages)
                 self.stats.requests_completed += 1
+            return self.finalize_replay(drain=drain)
+        # Imported lazily: repro.host sits above this module (its namespace
+        # module imports repro.ssd.stats).
+        from repro.host.arbiter import make_arbiter
+        from repro.host.interface import MultiQueueFrontend, SubmissionQueue
+        from repro.host.namespace import DeviceNamespace
+
+        loop = EventLoop(start_us=self._now_us)
+        queue = SubmissionQueue(
+            DeviceNamespace(self.config.logical_pages),
+            requests,
+            mode=mode,
+            time_scale=scale,
+        )
+        # Open loop issues every request at its arrival: no slot cap.
+        slots = math.inf if mode == "open" else depth
+        self.run_frontend(
+            MultiQueueFrontend(
+                self, loop, [queue], make_arbiter(self.options.arbiter), slots
+            ),
+            loop,
+        )
         return self.finalize_replay(drain=drain)
 
-    def run_frontend(
-        self,
-        frontend: Any,  # duck-typed, see docstring; run() signatures differ
-        loop: EventLoop,
-        requests: Optional[Iterable[ReplayItem]] = None,
-    ) -> None:
-        """Replay through the event loop with the given host frontend.
+    def run_frontend(self, frontend: MultiQueueFrontend, loop: EventLoop) -> None:
+        """Replay through the event loop with the given admission frontend.
 
-        The frontend is duck-typed: it needs ``run()`` (or ``run(requests)``
-        when ``requests`` is given) and a ``stats`` attribute carrying
-        :class:`repro.sim.frontend.FrontendStats`.  This is the hook the
-        multi-queue host interface (:mod:`repro.host`) uses to drive the
-        device with its own admission machinery; callers are expected to
+        :meth:`run` and the multi-queue host interface (:mod:`repro.host`)
+        both drive the device through this hook; callers are expected to
         follow up with :meth:`finalize_replay`.
         """
         self._loop = loop
@@ -1228,10 +1259,7 @@ class SimulatedSSD:
         if self.telemetry is not None:
             loop.chain_observer(self.telemetry.observe)
         try:
-            if requests is None:
-                frontend.run()
-            else:
-                frontend.run(requests)
+            frontend.run()
         finally:
             self._loop = None
         self.stats.events_processed += loop.events_processed

@@ -18,6 +18,24 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 
+def percentile_of_sorted(ordered: Sequence[float], pct: float) -> float:
+    """Value at percentile ``pct`` (0-100) of the ascending ``ordered``.
+
+    The round-index definition: the element at ``round(pct / 100 * (n - 1))``
+    (Python rounding, halves to even), so p0 is the minimum and p100 the
+    maximum; empty input gives 0.0.  Every percentile the device statistics
+    and :mod:`repro.analysis` report uses it.  It is not nearest rank
+    (``ceil(pct / 100 * n)``, which :mod:`repro.obs.analyze` uses): for the
+    samples 1..20 this gives p50 = 11, nearest rank gives 10.
+    """
+    if not ordered:
+        return 0.0
+    if not 0.0 <= pct <= 100.0:
+        raise ValueError("pct must be in [0, 100]")
+    rank = min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))
+    return ordered[rank]
+
+
 class LatencyRecorder:
     """Records per-request latencies with a bounded-memory reservoir.
 
@@ -84,16 +102,13 @@ class LatencyRecorder:
         return self._min if self._count else 0.0
 
     def percentile(self, pct: float) -> float:
-        """Latency at percentile ``pct`` (0-100), from the reservoir."""
-        if not self._samples:
-            return 0.0
-        if not 0.0 <= pct <= 100.0:
-            raise ValueError("pct must be in [0, 100]")
+        """Latency at percentile ``pct`` (0-100), from the reservoir.
+
+        See :func:`percentile_of_sorted` for the definition.
+        """
         if self._sorted is None:
             self._sorted = sorted(self._samples)
-        ordered = self._sorted
-        rank = min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+        return percentile_of_sorted(self._sorted, pct)
 
     def cdf(self, points: Sequence[float] = (0, 30, 60, 90, 99, 99.9)) -> Dict[float, float]:
         """Latency at the given CDF points (mirrors Figure 18's x-axis)."""

@@ -11,6 +11,11 @@ from dataclasses import replace
 from repro.config import DRAMBudget, LeaFTLConfig, SSDConfig
 from repro.core.leaftl import LeaFTL
 from repro.flash.oob import required_oob_bytes
+from repro.host.arbiter import make_arbiter
+from repro.host.interface import MultiQueueFrontend, SubmissionQueue
+from repro.host.namespace import DeviceNamespace
+from repro.sim.events import EventLoop
+from repro.sim.frontend import FrontendStats
 from repro.ssd.ssd import SimulatedSSD
 
 
@@ -49,3 +54,33 @@ def make_ssd(
 @pytest.fixture
 def tiny_leaftl_ssd() -> SimulatedSSD:
     return make_ssd()
+
+
+class RecordingDevice:
+    """Fixed-latency device that records ``(issue time, op, lpa)``."""
+
+    def __init__(self, latency_us: float = 10.0):
+        self.latency_us = latency_us
+        self.issues = []
+
+    def submit(self, op, lpa, npages, at_us):
+        self.issues.append((at_us, op, lpa))
+        return at_us + self.latency_us
+
+
+def replay_one_queue(
+    device, requests, queue_depth=1, mode="closed", time_scale=1.0
+) -> FrontendStats:
+    """Replay ``requests`` through the admission engine on one queue.
+
+    The queue sits on a whole-device namespace, as in
+    :meth:`SimulatedSSD.run`; pass ``queue_depth=math.inf`` for open-loop
+    replay without a slot cap.
+    """
+    queue = SubmissionQueue(
+        DeviceNamespace(1 << 20), requests, mode=mode, time_scale=time_scale
+    )
+    frontend = MultiQueueFrontend(
+        device, EventLoop(), [queue], make_arbiter("fifo"), queue_depth
+    )
+    return frontend.run()

@@ -1,4 +1,4 @@
-"""Frontend admission edge cases (single-queue and multi-queue).
+"""Admission edge cases (one device-wide queue and several namespaces).
 
 Covers the corners trace replay must not mishandle:
 
@@ -6,43 +6,43 @@ Covers the corners trace replay must not mishandle:
 * a trace shorter than the queue depth (partial initial admission);
 * open-loop replay of a trace with non-monotonic timestamps — the replay
   must raise (never silently reorder or distort the arrival process), and
-  ``Trace.sorted_by_timestamp()`` must repair such a trace.
+  ``Trace.sorted_by_timestamp()`` must repair such a trace;
+* device-level replay of requests that run or start past the last LPA —
+  clipped and counted by the device, never rejected.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.host.interface import HostInterface
-from repro.sim.events import EventLoop
-from repro.sim.frontend import HostFrontend, OpenLoopFrontend
+from repro.ssd.ssd import SSDOptions
 from repro.workloads.trace import IORequest, Trace
-from tests.conftest import make_ssd
-
-
-class _RecordingDevice:
-    def __init__(self, latency_us: float = 10.0):
-        self.latency_us = latency_us
-        self.issues = []
-
-    def submit(self, op, lpa, npages, at_us):
-        self.issues.append((at_us, op, lpa))
-        return at_us + self.latency_us
+from tests.conftest import RecordingDevice, make_ssd, replay_one_queue
 
 
 class TestEmptyTrace:
     def test_closed_loop_frontend(self):
-        device = _RecordingDevice()
-        stats = HostFrontend(device, EventLoop(), queue_depth=4).run([])
+        device = RecordingDevice()
+        stats = replay_one_queue(device, [], queue_depth=4)
         assert stats.submitted == stats.completed == 0
         assert stats.max_outstanding == 0
         assert device.issues == []
 
     def test_open_loop_frontend(self):
-        device = _RecordingDevice()
-        stats = OpenLoopFrontend(device, EventLoop()).run([])
+        device = RecordingDevice()
+        stats = replay_one_queue(device, [], queue_depth=math.inf, mode="open")
         assert stats.submitted == stats.completed == 0
         assert device.issues == []
+
+    @pytest.mark.parametrize("replay_mode", ["closed", "open"])
+    def test_event_engine_device_replay(self, replay_mode):
+        ssd = make_ssd(options=SSDOptions(queue_depth=8, replay_mode=replay_mode))
+        stats = ssd.run([])
+        assert stats.requests_submitted == stats.requests_completed == 0
+        assert stats.events_processed == 0
 
     def test_full_device_replay(self):
         ssd = make_ssd()
@@ -62,9 +62,9 @@ class TestEmptyTrace:
 
 class TestShortTrace:
     def test_trace_shorter_than_queue_depth(self):
-        device = _RecordingDevice()
-        stats = HostFrontend(device, EventLoop(), queue_depth=8).run(
-            [("R", lpa, 1) for lpa in range(3)]
+        device = RecordingDevice()
+        stats = replay_one_queue(
+            device, [("R", lpa, 1) for lpa in range(3)], queue_depth=8
         )
         assert stats.submitted == stats.completed == 3
         # All three admitted at t=0; the depth never actually fills.
@@ -92,10 +92,11 @@ def _unsorted_trace() -> Trace:
 
 class TestNonMonotonicTimestamps:
     def test_open_loop_frontend_raises(self):
-        device = _RecordingDevice()
-        frontend = OpenLoopFrontend(device, EventLoop())
-        with pytest.raises(ValueError, match="non-decreasing"):
-            frontend.run(_unsorted_trace())
+        device = RecordingDevice()
+        with pytest.raises(ValueError, match="non-monotonic"):
+            replay_one_queue(
+                device, _unsorted_trace(), queue_depth=math.inf, mode="open"
+            )
 
     def test_device_open_replay_raises(self):
         ssd = make_ssd()
@@ -140,3 +141,29 @@ class TestNonMonotonicTimestamps:
         ssd = make_ssd()
         stats = ssd.run(trace, replay_mode="open")
         assert stats.requests_completed == 4
+
+
+class TestDeviceRangeHandling:
+    """``SimulatedSSD.run`` on the event engine keeps the device's clipping.
+
+    A request running past the last LPA is served up to it, one starting
+    past it is dropped whole; both count their pages in
+    ``stats.clipped_pages`` and neither raises, in closed and open loop.
+    """
+
+    @pytest.mark.parametrize("replay_mode", ["closed", "open"])
+    def test_past_the_end_requests_clipped_not_rejected(self, replay_mode):
+        ssd = make_ssd(options=SSDOptions(queue_depth=8, replay_mode=replay_mode))
+        last = ssd.config.logical_pages
+        stats = ssd.run(
+            [
+                IORequest("W", 0, 8, timestamp_us=0.0),
+                IORequest("W", last - 3, 8, timestamp_us=10.0),
+                IORequest("R", last + 2, 4, timestamp_us=20.0),
+                IORequest("R", last - 2, 6, timestamp_us=30.0),
+            ]
+        )
+        assert stats.clipped_pages == 5 + 4 + 4
+        assert stats.requests_submitted == stats.requests_completed == 4
+        assert stats.host_write_pages == 8 + 3
+        assert stats.host_read_pages == 2

@@ -5,8 +5,9 @@ Covers four layers:
 * arbitration policies in isolation (deterministic grant orders);
 * token buckets (refill arithmetic, burst clamping);
 * namespaces (carving, overlap rejection, translation, clipping);
-* the full frontend: single-namespace replay must match the classic
-  ``HostFrontend`` path bit-for-bit, and rate limits must shape admission.
+* the full frontend: single-namespace replay must match the golden
+  single-queue signatures bit-for-bit, and rate limits must shape
+  admission.
 """
 
 from __future__ import annotations
@@ -242,30 +243,48 @@ def _stats_signature(ssd):
     )
 
 
+#: ``_stats_signature`` of ``_contended_workload()`` replayed closed loop
+#: on ``_CONFIG`` (LeaFTL, gamma 4), recorded when single-queue replay still
+#: had its own closed-loop frontend.  Any arbiter over one whole-device
+#: namespace, and ``SimulatedSSD.run``, must reproduce it exactly.
+_GOLDEN_QD8 = (
+    3967, 7297851.5, 54104.5, 51861, 9075488.5, 51833, 3901, 3901, 3, 342,
+    810, 7, 78, 5, 7220026.5, 1367905.5, 5131, 2157, 2157, 8, 7788, 55734, 342,
+)
+#: The same at queue depth 1 on the event engine.
+_GOLDEN_QD1_EVENTS = (
+    3967, 976419.5, 50733.5, 51861, 1145260.0, 51833, 3901, 3901, 3, 342,
+    810, 7, 78, 5, 898594.5, 1410059.5, 5131, 2157, 2157, 1, 7788, 55734, 342,
+)
+
+
 class TestSingleNamespaceEquivalence:
     """Acceptance: the host interface is a strict generalisation.
 
     One whole-device namespace + one closed-loop queue must replay
-    *bit-for-bit* like the classic ``HostFrontend`` path — same latencies,
-    same flash counters, same event count — for every arbiter (with one
-    queue they are all trivially equivalent).
+    *bit-for-bit* like the golden single-queue signatures — same
+    latencies, same flash counters, same event count — for every arbiter
+    (with one queue they are all trivially equivalent).
     """
 
     @pytest.mark.parametrize("arbiter", ARBITERS)
     def test_matches_host_frontend_exactly(self, arbiter):
         requests = _contended_workload()
-        baseline = make_ssd(
-            gamma=4, config=_CONFIG, options=SSDOptions(queue_depth=8)
-        )
-        baseline.run(requests)
-
         ssd = make_ssd(gamma=4, config=_CONFIG, options=SSDOptions(queue_depth=8))
         host = HostInterface(ssd, arbiter=arbiter, queue_depth=8)
         host.add_namespace("all")
         result = host.run({"all": requests})
 
-        assert _stats_signature(baseline) == _stats_signature(ssd)
+        assert _stats_signature(ssd) == _GOLDEN_QD8
         assert result.namespaces["all"].completed == len(requests)
+
+        device = make_ssd(
+            gamma=4,
+            config=_CONFIG,
+            options=SSDOptions(queue_depth=8, arbiter=arbiter),
+        )
+        device.run(requests)
+        assert _stats_signature(device) == _GOLDEN_QD8
 
     def test_matches_event_engine_at_depth_one(self):
         """Transitively pins serial equivalence: test_sim pins serial ==
@@ -277,13 +296,13 @@ class TestSingleNamespaceEquivalence:
             options=SSDOptions(engine="events", queue_depth=1),
         )
         baseline.run(requests)
+        assert _stats_signature(baseline) == _GOLDEN_QD1_EVENTS
 
         ssd = make_ssd(gamma=4, config=_CONFIG, options=SSDOptions(queue_depth=1))
         host = HostInterface(ssd, queue_depth=1)
         host.add_namespace("all")
         host.run({"all": requests})
-
-        assert _stats_signature(baseline) == _stats_signature(ssd)
+        assert _stats_signature(ssd) == _GOLDEN_QD1_EVENTS
 
 
 class TestMultiQueueFrontend:

@@ -15,6 +15,7 @@ Covers the three layers of the refactor:
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -25,11 +26,9 @@ from repro.ftl.base import FTL, TranslationResult
 from repro.ftl.dftl import DFTL
 from repro.ftl.pagemap import PageLevelFTL
 from repro.ftl.sftl import SFTL
-from repro.sim.events import EventLoop
-from repro.sim.frontend import OpenLoopFrontend
 from repro.ssd.ssd import SSDOptions
 from repro.workloads.trace import IORequest, Trace
-from tests.conftest import make_ssd
+from tests.conftest import RecordingDevice, make_ssd, replay_one_queue
 
 
 # --------------------------------------------------------------------------- #
@@ -336,55 +335,52 @@ class TestMultiPageSubmit:
 # --------------------------------------------------------------------------- #
 # Open-loop replay
 # --------------------------------------------------------------------------- #
-class _RecordingDevice:
-    """Fixed-latency device that records issue times."""
+class TestOpenLoopAdmission:
+    """Open-loop admission on one uncapped queue, as ``SimulatedSSD.run``
+    uses it."""
 
-    def __init__(self, latency_us=10.0):
-        self.latency_us = latency_us
-        self.issues = []
-
-    def submit(self, op, lpa, npages, at_us):
-        self.issues.append((at_us, op, lpa))
-        return at_us + self.latency_us
-
-
-class TestOpenLoopFrontend:
     def _requests(self, interarrival):
         return [
             IORequest("R", lpa, 1, timestamp_us=1000.0 + lpa * interarrival)
             for lpa in range(4)
         ]
 
+    def _replay(self, device, requests, time_scale=1.0):
+        return replay_one_queue(
+            device, requests, queue_depth=math.inf, mode="open", time_scale=time_scale
+        )
+
     def test_requests_issued_at_relative_timestamps(self):
-        device = _RecordingDevice()
-        frontend = OpenLoopFrontend(device, EventLoop())
-        stats = frontend.run(self._requests(50.0))
+        device = RecordingDevice()
+        stats = self._replay(device, self._requests(50.0))
         assert [t for t, _, _ in device.issues] == [0.0, 50.0, 100.0, 150.0]
         assert stats.submitted == stats.completed == 4
         assert stats.max_outstanding == 1  # arrivals slower than service
 
     def test_time_scale_compresses_arrivals(self):
-        device = _RecordingDevice()
-        frontend = OpenLoopFrontend(device, EventLoop(), time_scale=0.1)
-        frontend.run(self._requests(50.0))
+        device = RecordingDevice()
+        self._replay(device, self._requests(50.0), time_scale=0.1)
         assert [t for t, _, _ in device.issues] == [0.0, 5.0, 10.0, 15.0]
 
     def test_admission_does_not_wait_for_completions(self):
-        device = _RecordingDevice(latency_us=1000.0)  # far slower than arrivals
-        frontend = OpenLoopFrontend(device, EventLoop())
-        stats = frontend.run(self._requests(50.0))
+        device = RecordingDevice(latency_us=1000.0)  # far slower than arrivals
+        stats = self._replay(device, self._requests(50.0))
         assert [t for t, _, _ in device.issues] == [0.0, 50.0, 100.0, 150.0]
         assert stats.max_outstanding == 4  # the backlog is the measurement
 
     def test_tuples_degenerate_to_simultaneous_arrival(self):
-        device = _RecordingDevice()
-        frontend = OpenLoopFrontend(device, EventLoop())
-        frontend.run([("R", lpa, 1) for lpa in range(3)])
+        device = RecordingDevice()
+        self._replay(device, [("R", lpa, 1) for lpa in range(3)])
         assert [t for t, _, _ in device.issues] == [0.0, 0.0, 0.0]
 
     def test_invalid_time_scale_rejected(self):
         with pytest.raises(ValueError):
-            OpenLoopFrontend(_RecordingDevice(), EventLoop(), time_scale=0.0)
+            self._replay(RecordingDevice(), [], time_scale=0.0)
+        ssd = make_ssd()
+        with pytest.raises(ValueError):
+            ssd.run([], replay_mode="open", time_scale=0.0)
+        with pytest.raises(ValueError):
+            ssd.run([], replay_mode="open", time_scale=-1.0)
 
 
 class TestOpenLoopReplay:

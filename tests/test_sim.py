@@ -18,10 +18,10 @@ import pytest
 
 from repro.config import SSDConfig
 from repro.sim.events import EventLoop
-from repro.sim.frontend import HostFrontend, interleave_streams
+from repro.sim.frontend import interleave_streams
 from repro.sim.nand import NANDScheduler
 from repro.ssd.ssd import SSDOptions
-from tests.conftest import make_ssd
+from tests.conftest import RecordingDevice, make_ssd, replay_one_queue
 
 
 class TestEventLoop:
@@ -201,9 +201,7 @@ class TestEngineEquivalence:
     def test_event_engine_at_depth_one_matches_serial_exactly(self):
         """Acceptance: queue_depth=1 events == synchronous, stat for stat."""
         requests = _contended_workload()
-        serial = make_ssd(
-            gamma=4, config=_CONTENDED_CONFIG, options=SSDOptions(engine="serial")
-        )
+        serial = make_ssd(gamma=4, config=_CONTENDED_CONFIG)
         serial.run(requests)
         events = make_ssd(
             gamma=4,
@@ -271,32 +269,21 @@ class TestQueueDepthContention:
         assert _stats_signature(first) == _stats_signature(second)
 
 
-class TestHostFrontend:
-    class _RecordingDevice:
-        """Fixed-latency device that records issue times."""
-
-        def __init__(self, latency_us: float = 10.0):
-            self.latency_us = latency_us
-            self.issues = []
-
-        def submit(self, op, lpa, npages, at_us):
-            self.issues.append((at_us, op, lpa))
-            return at_us + self.latency_us
+class TestClosedLoopAdmission:
+    """Closed-loop admission on one queue, as ``SimulatedSSD.run`` uses it."""
 
     def test_depth_one_is_serial(self):
-        device = self._RecordingDevice()
-        loop = EventLoop()
-        frontend = HostFrontend(device, loop, queue_depth=1)
-        stats = frontend.run([("R", lpa, 1) for lpa in range(4)])
+        device = RecordingDevice()
+        stats = replay_one_queue(device, [("R", lpa, 1) for lpa in range(4)])
         assert [t for t, _, _ in device.issues] == [0.0, 10.0, 20.0, 30.0]
         assert stats.submitted == stats.completed == 4
         assert stats.max_outstanding == 1
 
     def test_depth_n_overlaps_requests(self):
-        device = self._RecordingDevice()
-        loop = EventLoop()
-        frontend = HostFrontend(device, loop, queue_depth=2)
-        stats = frontend.run([("R", lpa, 1) for lpa in range(4)])
+        device = RecordingDevice()
+        stats = replay_one_queue(
+            device, [("R", lpa, 1) for lpa in range(4)], queue_depth=2
+        )
         # Two admitted at t=0, the next two at the first completions.
         assert [t for t, _, _ in device.issues] == [0.0, 0.0, 10.0, 10.0]
         assert stats.max_outstanding == 2
@@ -304,7 +291,7 @@ class TestHostFrontend:
 
     def test_invalid_depth_rejected(self):
         with pytest.raises(ValueError):
-            HostFrontend(self._RecordingDevice(), EventLoop(), queue_depth=0)
+            replay_one_queue(RecordingDevice(), [], queue_depth=0)
 
     def test_interleave_streams_round_robins(self):
         a = [("R", 0, 1), ("R", 1, 1), ("R", 2, 1)]

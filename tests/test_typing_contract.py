@@ -5,7 +5,7 @@ this test environment) may not have it installed.  This test replicates
 the two mypy settings that are pure syntax properties —
 ``disallow_untyped_defs``/``disallow_incomplete_defs`` and
 ``no_implicit_optional`` — over the same subtree ``mypy.ini`` scopes
-(``src/repro/{core,ftl,flash,sim,ssd}``), so an unannotated def or an
+(``src/repro/{core,ftl,flash,sim,ssd,host}``), so an unannotated def or an
 implicit Optional fails fast locally instead of only in CI.
 """
 
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
-TYPED_PACKAGES = ("core", "ftl", "flash", "sim", "ssd")
+TYPED_PACKAGES = ("core", "ftl", "flash", "sim", "ssd", "host")
 
 
 def typed_files():
